@@ -11,10 +11,13 @@ re-executed.
 The figure of merit is *goodput*: application payload bytes per
 second of wall clock, counting only completed invocations.  At 0%
 loss this is the plain wire throughput; at 1% loss it shows what the
-retry machinery costs (each lost frame burns one attempt timeout).
-The CI gate is deliberately coarse — every invocation must complete
-and goodput must stay positive under 1% loss — because absolute
-numbers are machine-dependent; see ``tools/bench_faults.py``.
+retry machinery costs (each lost frame burns one attempt window —
+RTT-derived against this reply-caching server, see
+``repro.ft.rtt``).  The CI gate is deliberately coarse — every
+invocation must complete, goodput must stay positive under 1% loss,
+and a lost frame must cost well under one full ``timeout_s`` —
+because absolute numbers are machine-dependent; see
+``tools/bench_faults.py``.
 """
 
 from __future__ import annotations
@@ -44,10 +47,16 @@ DEFAULT_SIZE = 64 << 10
 #: Invocations per point (the acceptance criterion's 100).
 DEFAULT_REQUESTS = 100
 
-#: Per-attempt timeout (seconds).  A dropped request or reply frame
-#: costs exactly one of these before the retry fires, so it bounds
-#: the damage per lost frame.
+#: Runtime timeout (seconds): the window of an attempt before the
+#: binding's first round-trip sample and of the last allowed attempt,
+#: and the cap on every RTT-derived window — so it bounds the damage
+#: per lost frame.
 DEFAULT_TIMEOUT_S = 0.5
+
+#: The gate's bound on the mean excess wall time per injected fault,
+#: as a fraction of ``timeout_s``: recovery must take a short window,
+#: not the full timeout.
+MAX_EXCESS_PER_FAULT = 0.5
 
 #: CI smoke parameters.
 SMOKE_LOSS_RATES = [0.0, 0.01]
@@ -265,18 +274,53 @@ def points_as_dicts(points: list[FaultPoint]) -> list[dict]:
     return [asdict(p) for p in points]
 
 
-def gate_failures(points: list[FaultPoint]) -> list[str]:
+def excess_per_fault(
+    point: FaultPoint, points: list[FaultPoint]
+) -> float | None:
+    """Mean wall time (s) each injected fault added to ``point`` over
+    the lossless point of the same fabric and method (scaled to the
+    same request count); ``None`` without faults or a baseline."""
+    if point.faults_injected <= 0:
+        return None
+    base = next(
+        (
+            p for p in points
+            if p.fabric == point.fabric
+            and p.method == point.method
+            and p.drop_rate == 0.0
+            and p.faults_injected == 0
+            and p.completed > 0
+        ),
+        None,
+    )
+    if base is None:
+        return None
+    clean = base.seconds * point.completed / base.completed
+    return (point.seconds - clean) / point.faults_injected
+
+
+def gate_failures(points: list[FaultPoint], timeout_s: float) -> list[str]:
     """The coarse CI gate: every point must complete every request
-    with positive goodput (no hang, no silent loss)."""
+    with positive goodput (no hang, no silent loss), and a lossy
+    point's mean excess time per injected fault must stay under
+    ``MAX_EXCESS_PER_FAULT × timeout_s`` (loss recovered in a short
+    window, not a full timeout)."""
     failures = []
+    bound = MAX_EXCESS_PER_FAULT * timeout_s
     for p in points:
         label = f"{p.fabric}/{p.method}@{p.drop_rate:.0%}"
+        excess = excess_per_fault(p, points)
         if p.completed != p.requests:
             failures.append(
                 f"{label}: {p.completed}/{p.requests} completed"
             )
         elif p.goodput_mb_per_s <= 0:
             failures.append(f"{label}: goodput is not positive")
+        elif excess is not None and excess > bound:
+            failures.append(
+                f"{label}: {excess * 1e3:.0f} ms excess per fault, "
+                f"over the {bound * 1e3:.0f} ms bound"
+            )
     return failures
 
 

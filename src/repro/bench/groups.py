@@ -51,9 +51,11 @@ DEFAULT_REQUESTS = 24
 #: Default payload: 64 KiB per invocation.
 DEFAULT_SIZE = 64 << 10
 
-#: Per-attempt timeout (seconds).  Failure detection costs
-#: (1 + max_retries) of these before the failover vote fires, so it
-#: bounds the depth of the kill window's goodput crater.
+#: Runtime timeout (seconds).  Failure detection costs at most
+#: (1 + max_retries) of these before the failover vote fires (the
+#: replicas cache replies, so attempts before the last may time out
+#: sooner, on RTT-derived windows), so it bounds the depth of the
+#: kill window's goodput crater.
 DEFAULT_TIMEOUT_S = 0.3
 
 #: CI smoke parameters.
@@ -109,8 +111,9 @@ def _policy() -> Any:
     from repro.ft import FtPolicy
 
     # One retry against a dead replica before failover engages:
-    # detection then costs two attempt timeouts, keeping the kill
-    # window's crater shallow while still exercising the retry path.
+    # detection then costs at most two attempt timeouts, keeping the
+    # kill window's crater shallow while still exercising the retry
+    # path.
     return FtPolicy(
         max_retries=1,
         backoff_base_ms=2.0,

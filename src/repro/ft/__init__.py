@@ -15,6 +15,9 @@ This subsystem adds the robustness layer around that constraint:
 - :mod:`repro.ft.dedup` — the server-side reply cache making retries
   safe: a retried request whose reply was lost is answered from the
   cache instead of re-executed.
+- :mod:`repro.ft.rtt` — RFC 6298 round-trip estimation: the short
+  attempt windows of retrying bindings to deduplicating servers, so a
+  lost frame costs a few round trips instead of a full timeout.
 - :mod:`repro.ft.faults` — the fault-injection fabric wrapper
   (seeded drop / delay / duplicate / truncate / disconnect schedules)
   that exercises all of the above in tests and benchmarks.

@@ -1287,6 +1287,7 @@ class ServantGroup:
             request_port=self._request_port.address,
             data_ports=data_addresses,
             param_templates=tuple(sorted(self._templates.items())),
+            dedup=self.reply_cache is not None,
         )
         self.naming.bind(self.name, self._ref, host=self.host)
 

@@ -163,6 +163,10 @@ class ClientRuntime:
         self.ft_stats = FtStats(
             on_bump=trace.ft_observer() if trace is not None else None
         )
+        #: Round-trip estimators (``repro.ft.rtt``) of this runtime's
+        #: bindings, keyed by (object, request port, transfer method,
+        #: operation); the engines create entries on first use.
+        self.rtt_estimators: dict[tuple, Any] = {}
         # The collective-sequence counter: one draw per collective
         # invocation, in launch (= program) order, so an invocation's
         # index is identical on every rank — it names the collective
@@ -259,6 +263,8 @@ class ClientRuntime:
         # index is not — serial invocations are per-thread and must
         # not skew the group's collective sequence.
         view.ft_stats = self.ft_stats
+        # A serial view is a binding of its own: fresh estimators.
+        view.rtt_estimators = {}
         view._collective_indexes = itertools.count()
         view._closed = False
         # Future tracking survives the serial view; the alignment

@@ -12,7 +12,9 @@ needs to reach it:
   reference for this particular object" (§3.3);
 - per-parameter distribution templates the server registered before
   activation (§2.2), so the client's threads can "calculate to which
-  of the server's threads they should send data".
+  of the server's threads they should send data";
+- ``dedup``: whether the server runs a reply cache, which lets a
+  retrying client time attempts out early (``repro.ft.rtt``).
 
 References stringify to an ``IOR:<hex>`` form and survive a
 marshal/unmarshal roundtrip, mirroring CORBA stringified IORs.
@@ -61,6 +63,10 @@ class ObjectReference:
     #: tuple, e.g. ``('proportions', (2, 4, 2, 4))``.  Parameters not
     #: listed default to uniform blockwise.
     param_templates: tuple[tuple[tuple[str, str], tuple], ...] = ()
+    #: The server deduplicates retried requests (it runs a reply
+    #: cache), so a client may retry early without risking a second
+    #: execution.
+    dedup: bool = False
 
     @property
     def nthreads(self) -> int:
@@ -100,6 +106,7 @@ class ObjectReference:
             enc.write_ulong(len(weights))
             for weight in weights:
                 enc.write_ulong(int(weight))
+        enc.write_boolean(self.dedup)
         return "IOR:" + binascii.hexlify(enc.getvalue()).decode("ascii")
 
     @staticmethod
@@ -126,6 +133,7 @@ class ObjectReference:
                 )
                 spec = (kind,) if not weights else (kind, weights)
                 templates.append(((operation, param), spec))
+            dedup = dec.read_boolean()
         except (MarshalError, binascii.Error, ValueError) as exc:
             raise ValueError(f"malformed IOR: {exc}") from None
         return ObjectReference(
@@ -134,6 +142,7 @@ class ObjectReference:
             request_port=request_port,
             data_ports=data_ports,
             param_templates=tuple(templates),
+            dedup=dedup,
         )
 
     def __str__(self) -> str:

@@ -66,6 +66,7 @@ from repro.ft.policy import (
     failure_to_exception,
     reconstruct_error,
 )
+from repro.ft.rtt import RttEstimator
 from repro.idl.runtime import template_from_spec
 from repro.orb import request as wire
 from repro.orb.operation import (
@@ -719,15 +720,18 @@ class _FtInvocation:
     """Per-invocation retry/deadline state shared by both engines.
 
     Every decision here is a pure function of (canonical failure,
-    attempt count, policy) — plus this rank's clock only for *filing*
-    a deadline flag before the vote — so the ranks of a collective
-    binding stay in lockstep through every retry, degradation and
-    raise without extra communication.
+    attempt count, policy) — plus this rank's clock and round-trip
+    estimator only for *filing* a timeout or deadline flag before the
+    vote — so the ranks of a collective binding stay in lockstep
+    through every retry, degradation and raise without extra
+    communication.
     """
 
     def __init__(
         self,
         runtime: "ClientRuntimeLike",
+        ref: ObjectReference,
+        mode: str,
         spec: OperationSpec,
         policy: Any,
         request_id: int,
@@ -737,6 +741,18 @@ class _FtInvocation:
         self.spec = spec
         self.policy = policy
         self.request_id = request_id
+        #: The binding's round-trip estimator, or ``None`` when every
+        #: attempt waits the full runtime timeout: short windows need
+        #: a policy that retries timeouts and a server that advertises
+        #: dedup, so an early retry can never re-execute.
+        self.rtt = (
+            _binding_estimator(runtime, ref, mode, spec.name)
+            if ref.dedup
+            and policy is not None
+            and policy.max_retries > 0
+            and "TIMEOUT" in policy.retryable_categories
+            else None
+        )
         #: Trace correlation (``repro.trace``): the recorder, or None
         #: when tracing is off.  The trace id defaults to the *first*
         #: attempt's request id — rank-identical by construction,
@@ -748,6 +764,8 @@ class _FtInvocation:
             trace_id = request_id if self.trace is not None else 0
         self.trace_id = trace_id
         self.start = time.monotonic()
+        #: When the current attempt's send began (see ``mark_sent``).
+        self.sent_at = self.start
         #: Retries performed so far (0 = still on the first attempt).
         self.attempts = 0
         # The invocation's position in the runtime's collective
@@ -766,12 +784,53 @@ class _FtInvocation:
             time.monotonic() - self.start
         )
 
-    def attempt_timeout(self) -> float | None:
-        """The receive window of the current attempt: the runtime
-        timeout, clamped to what is left of the deadline (never below
-        1ms, so an overrun surfaces as a fast timeout — at the normal
-        protocol point — instead of a divergent local raise)."""
+    def mark_sent(self) -> None:
+        """Stamp the start of an attempt's send: its window and its
+        round-trip sample are timed from here, not from when the
+        worker gets round to waiting."""
+        self.sent_at = time.monotonic()
+
+    def short_window(self) -> float | None:
+        """The current attempt's RTT-derived window (seconds), or
+        ``None`` when it waits the full runtime timeout.
+
+        ``max(MIN_RTO, SRTT + 4·RTTVAR) · 2**attempt``, capped at the
+        runtime timeout — and never on the last allowed attempt, nor
+        before the binding's first round-trip sample."""
+        if self.rtt is None or self.attempts >= self.policy.max_retries:
+            return None
+        rto = self.rtt.rto()
+        if rto is None:
+            return None
+        window = rto * 2**self.attempts
         base = self.runtime.timeout
+        return window if base is None or window < base else None
+
+    def window_ms(self) -> float | None:
+        """The current attempt's window in ms (for the reply span)."""
+        window = self.short_window()
+        if window is None:
+            window = self.runtime.timeout
+        return None if window is None else round(window * 1e3, 3)
+
+    def sample_rtt(self) -> None:
+        """Feed a completed attempt to the estimator — under Karn's
+        rule only a first attempt: a retried call's reply may answer
+        any of its sends."""
+        if self.rtt is not None and self.attempts == 0:
+            self.rtt.sample(time.monotonic() - self.sent_at)
+
+    def attempt_timeout(self) -> float | None:
+        """The receive time left to the current attempt: the runtime
+        timeout, or what is left of the short window since the send;
+        clamped to what is left of the deadline (never below 1ms, so
+        an overrun surfaces as a fast timeout — at the normal protocol
+        point — instead of a divergent local raise)."""
+        window = self.short_window()
+        if window is None:
+            base = self.runtime.timeout
+        else:
+            base = max(self.sent_at + window - time.monotonic(), 1e-3)
         remaining = self._remaining_deadline()
         if remaining is None:
             return base
@@ -848,6 +907,22 @@ class _FtInvocation:
                 else "retries_exhausted"
             )
         raise exc
+
+
+def _binding_estimator(
+    runtime: "ClientRuntimeLike", ref: ObjectReference, mode: str, op: str
+) -> RttEstimator | None:
+    """The runtime's estimator for one binding's operation under one
+    transfer method, created on first use (``None`` for a runtime
+    without an estimator table)."""
+    table = getattr(runtime, "rtt_estimators", None)
+    if table is None:
+        return None
+    key = (ref.object_key, ref.request_port, mode, op)
+    estimator = table.get(key)
+    if estimator is None:
+        estimator = table[key] = RttEstimator()
+    return estimator
 
 
 def _retryable_remote(
@@ -1052,7 +1127,8 @@ class CentralizedTransfer(TransferEngine):
             rts.synchronize()
         request_id = runtime.next_request_id()
         ctl = _FtInvocation(
-            runtime, spec, effective_policy(ft_policy, runtime), request_id,
+            runtime, ref, self.mode, spec,
+            effective_policy(ft_policy, runtime), request_id,
             trace_id=trace_id,
         )
         trace, trace_id = ctl.trace, ctl.trace_id
@@ -1070,6 +1146,7 @@ class CentralizedTransfer(TransferEngine):
             surfaces at the agreement vote in ``complete`` so all
             ranks handle it at the same collective point.
             """
+            ctl.mark_sent()
             enc_span = span_or_null(
                 trace, "encode", trace_id=trace_id, side="client",
                 rank=runtime.rank, op=spec.name,
@@ -1200,6 +1277,7 @@ class CentralizedTransfer(TransferEngine):
             reply_span = span_or_null(
                 ctl.trace, "reply", trace_id=ctl.trace_id, side="client",
                 rank=runtime.rank, attempt=ctl.attempts,
+                window_ms=ctl.window_ms(),
             )
             if local is None and runtime.rank == 0:
                 try:
@@ -1234,6 +1312,7 @@ class CentralizedTransfer(TransferEngine):
             failure, header = agree(rts, local, header)
             ctl.note_agreement()
             if failure is None:
+                ctl.sample_rtt()
                 result = self._deliver_reply(
                     runtime, spec, reply, header, args_by_name, tracer,
                     out_templates,
@@ -1373,7 +1452,8 @@ class MultiPortTransfer(TransferEngine):
             rts.synchronize()
         request_id = runtime.next_request_id()
         ctl = _FtInvocation(
-            runtime, spec, effective_policy(ft_policy, runtime), request_id,
+            runtime, ref, self.mode, spec,
+            effective_policy(ft_policy, runtime), request_id,
             trace_id=trace_id,
         )
         trace, trace_id = ctl.trace, ctl.trace_id
@@ -1404,6 +1484,7 @@ class MultiPortTransfer(TransferEngine):
             to the centralized method under a fresh id without risking
             double execution.
             """
+            ctl.mark_sent()
             # The invocation header is delivered using the centralized
             # method (§3.3): the communicating thread sends it.
             message = None
@@ -1553,6 +1634,7 @@ class MultiPortTransfer(TransferEngine):
             reply_span = span_or_null(
                 ctl.trace, "reply", trace_id=ctl.trace_id, side="client",
                 rank=runtime.rank, attempt=ctl.attempts,
+                window_ms=ctl.window_ms(),
             )
             if local is None and runtime.rank == 0:
                 try:
@@ -1663,6 +1745,7 @@ class MultiPortTransfer(TransferEngine):
                 failure = agree_failure(rts, local2)
                 ctl.note_agreement()
                 if failure is None:
+                    ctl.sample_rtt()
                     for slot, layout, local_arr in staged:
                         values[slot.name] = self._install_reply_sequence(
                             slot, layout, local_arr, args_by_name,
@@ -1740,9 +1823,12 @@ class ClientRuntimeLike:
     timeout: float
     #: Optional fault-tolerance surface (engines fall back gracefully
     #: when a runtime stub lacks these): the ORB-wide FtPolicy, the
-    #: per-runtime FtStats, and the collective-sequence counter.
+    #: per-runtime FtStats, the round-trip estimators and the
+    #: collective-sequence counter.
     ft_policy: Any = None
     ft_stats: Any = None
+    #: Per-binding round-trip estimators (absent: full windows only).
+    rtt_estimators: Any = None
 
     def next_request_id(self) -> int:
         raise NotImplementedError

@@ -110,6 +110,16 @@ class TestServeReplicated:
         finally:
             group.shutdown()
 
+    def test_replicas_advertise_dedup(self, orb, idl):
+        # The reply cache is on by default, so every member reference
+        # tells clients that early retries are safe.
+        group = orb.serve_replicated("ctr", _factory(idl), replicas=2)
+        try:
+            gref = orb.naming.resolve_group("ctr")
+            assert all(ref.dedup for _rid, ref in gref.members)
+        finally:
+            group.shutdown()
+
     def test_shutdown_unbinds_everything(self, orb, idl):
         group = orb.serve_replicated("ctr", _factory(idl), replicas=2)
         group.shutdown()

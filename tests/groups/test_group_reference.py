@@ -10,7 +10,7 @@ from repro.orb.reference import (
 from repro.orb.transport import PortAddress
 
 
-def make_ref(key, nports=0):
+def make_ref(key, nports=0, dedup=False):
     return ObjectReference(
         object_key=key,
         repo_id="IDL:svc:1.0",
@@ -19,6 +19,7 @@ def make_ref(key, nports=0):
             PortAddress(10 + i, f"d-{key}-{i}") for i in range(nports)
         ),
         param_templates=((("op", "darray"), ("proportions", (2,))),),
+        dedup=dedup,
     )
 
 
@@ -54,6 +55,21 @@ class TestGiorRoundtrip:
             "proportions",
             (2,),
         )
+
+
+    def test_dedup_survives_per_replica(self):
+        group = GroupReference(
+            group_name="svc",
+            repo_id="IDL:svc:1.0",
+            epoch=1,
+            members=(
+                (0, make_ref("svc#0", dedup=True)),
+                (1, make_ref("svc#1")),
+            ),
+        )
+        back = GroupReference.from_ior(group.ior())
+        assert back.member(0).dedup is True
+        assert back.member(1).dedup is False
 
 
 class TestGiorErrors:

@@ -7,7 +7,7 @@ from repro.orb.reference import ObjectReference
 from repro.orb.transport import PortAddress
 
 
-def make_ref(key="obj", nports=0):
+def make_ref(key="obj", nports=0, dedup=False):
     return ObjectReference(
         object_key=key,
         repo_id=f"IDL:{key}:1.0",
@@ -18,6 +18,7 @@ def make_ref(key="obj", nports=0):
         param_templates=(
             (("diffusion", "darray"), ("proportions", (2, 4))),
         ),
+        dedup=dedup,
     )
 
 
@@ -43,6 +44,12 @@ class TestObjectReference:
         text = ref.ior()
         assert text.startswith("IOR:")
         assert ObjectReference.from_ior(text) == ref
+
+    def test_ior_roundtrip_keeps_dedup(self):
+        assert not make_ref().dedup
+        for dedup in (False, True):
+            ref = make_ref(nports=2, dedup=dedup)
+            assert ObjectReference.from_ior(ref.ior()).dedup is dedup
 
     def test_malformed_ior(self):
         with pytest.raises(ValueError, match="not a stringified"):

@@ -12,11 +12,13 @@ Sweeps frame-loss rates (default 0% and 1%) over both transfer
 methods on the selected fabrics, with a retrying client policy and a
 reply-caching server behind a seeded
 :class:`~repro.ft.faults.FaultyFabric`.  ``--gate-goodput`` fails
-(exit 1) when any point leaves an invocation uncompleted or its
-goodput is not positive — the coarse, machine-independent guarantee
-that the fault-tolerance layer converts loss into latency rather
-than hangs.  Absolute MB/s numbers are machine-dependent and never
-gated on.
+(exit 1) when any point leaves an invocation uncompleted, its
+goodput is not positive, or a lossy point's mean excess wall time
+per injected fault (over the lossless point of the same fabric and
+method) exceeds half of ``--timeout`` — the coarse guarantee that the
+fault-tolerance layer converts loss into a short retry window rather
+than hangs or full timeouts.  Absolute MB/s numbers are
+machine-dependent and never gated on.
 
 See ``docs/robustness.md`` for the methodology.
 """
@@ -35,6 +37,7 @@ from repro.bench.faults import (  # noqa: E402
     DEFAULT_REQUESTS,
     DEFAULT_SIZE,
     DEFAULT_TIMEOUT_S,
+    MAX_EXCESS_PER_FAULT,
     SMOKE_LOSS_RATES,
     SMOKE_REQUESTS,
     SMOKE_SIZE,
@@ -76,14 +79,15 @@ def main(argv: list[str] | None = None) -> int:
         "--timeout",
         type=float,
         default=DEFAULT_TIMEOUT_S,
-        help="per-attempt timeout in seconds (bounds the cost of "
-        "each lost frame)",
+        help="runtime timeout in seconds (caps the RTT-derived "
+        "attempt window, so it bounds the cost of each lost frame)",
     )
     parser.add_argument(
         "--gate-goodput",
         action="store_true",
-        help="fail when any point leaves requests uncompleted or "
-        "goodput is not positive",
+        help="fail when any point leaves requests uncompleted, "
+        "goodput is not positive, or a lost frame costs more than "
+        "half the timeout on average",
     )
     parser.add_argument(
         "--out",
@@ -121,9 +125,10 @@ def main(argv: list[str] | None = None) -> int:
 
     failures = []
     if args.gate_goodput:
-        failures = gate_failures(points)
+        failures = gate_failures(points, args.timeout)
         print(
-            "\nfaults gate: every invocation completes, goodput > 0"
+            "\nfaults gate: every invocation completes, goodput > 0, "
+            f"excess per fault <= {MAX_EXCESS_PER_FAULT:g} x timeout"
         )
         for line in failures or ["  all points ok"]:
             print(f"  {line}" if line != "  all points ok" else line)
