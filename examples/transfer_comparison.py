@@ -1,8 +1,9 @@
 """Compare the two argument-transfer methods, live and simulated.
 
 Live: runs the same invocation through the real ORB under both
-methods with a protocol tracer attached, and prints the message
-patterns of the paper's Figures 2 and 3.
+methods with a meter on the fabric (``orb.fabric.add_meter``), and
+prints the frames that actually crossed it — the message patterns of
+the paper's Figures 2 and 3.
 
 Simulated: prints the paper's Table 1, Table 2 and Figure 4
 equivalents from the calibrated testbed model (same output as
@@ -11,11 +12,13 @@ equivalents from the calibrated testbed model (same output as
 Run:  python examples/transfer_comparison.py
 """
 
+import re
+from collections import Counter
+
 import numpy as np
 
 from repro import ORB, compile_idl
 from repro.bench import figure4, format_figure4
-from repro.orb.transfer import Tracer
 
 IDL = """
 typedef dsequence<double, 2048> darray;
@@ -28,6 +31,13 @@ idl = compile_idl(IDL, module_name="compare_idl")
 
 NCLIENT, NSERVER, NELEMS = 3, 4, 1200
 
+#: Figure 3: 400-element client blocks against 300-element server
+#: blocks — each client thread sends to the server threads it overlaps.
+FIGURE3_EDGES = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 3)]
+
+_CLIENT_DATA = re.compile(r"client:(\d+):data$")
+_SERVER_DATA = re.compile(r"worker:data(\d+)$")
+
 
 class Worker(idl.worker_skel):
     def process(self, data):
@@ -35,8 +45,15 @@ class Worker(idl.worker_skel):
 
 
 def run_method(transfer):
-    tracer = Tracer()
-    orb = ORB(tracer=tracer)
+    """One collective invocation; returns every (src, dest, kind)
+    frame the fabric carried for it."""
+    frames = []
+    orb = ORB()
+    orb.fabric.add_meter(
+        lambda src, dest, kind, nbytes: frames.append(
+            (src.label, dest.label, kind)
+        )
+    )
     orb.serve("worker", lambda ctx: Worker(), NSERVER)
 
     def client(c):
@@ -46,35 +63,44 @@ def run_method(transfer):
         return seq.allgather()
 
     results = orb.run_spmd_client(NCLIENT, client)
+    observed = list(frames)  # before shutdown's control frame
     orb.shutdown()
     assert np.all(results[0] == 2.0)
-    return tracer
+    return observed
 
 
-def describe(tracer, transfer):
-    gathers = tracer.of_kind("rts-gather")
-    scatters = tracer.of_kind("rts-scatter")
-    chunks = tracer.of_kind("net-chunk")
-    requests = tracer.of_kind("net-request")
+def request_edges(frames):
+    """(client rank, server rank) of every client -> server chunk."""
+    edges = []
+    for src, dest, kind in frames:
+        s, d = _CLIENT_DATA.match(src), _SERVER_DATA.match(dest)
+        if kind == "data" and s and d:
+            edges.append((int(s.group(1)), int(d.group(1))))
+    return sorted(edges)
+
+
+def describe(frames, transfer):
+    counts = Counter(kind for _, _, kind in frames)
     print(f"--- {transfer} (client={NCLIENT}, server={NSERVER}) ---")
-    print(f"  network request messages : {len(requests)}")
-    print(f"  RTS gather edges         : {len(gathers)}")
-    print(f"  RTS scatter edges        : {len(scatters)}")
-    print(f"  direct data chunks       : {len(chunks)}")
-    if chunks:
-        req = sorted(
-            (c[3], c[4]) for c in chunks if c[1] == 0
-        )
-        print(f"  request-phase chunk edges: {req}")
+    for kind in ("request", "reply", "data"):
+        print(f"  {kind:<8} frames          : {counts[kind]}")
+    edges = request_edges(frames)
+    if edges:
+        print(f"  request-phase chunk edges: {edges}")
     print()
+    return counts, edges
 
 
 def main():
     print("=" * 64)
     print("LIVE (functional plane): message patterns of Figures 2 and 3")
     print("=" * 64)
-    for transfer in ("centralized", "multiport"):
-        describe(run_method(transfer), transfer)
+    counts, edges = describe(run_method("centralized"), "centralized")
+    # Figure 2: one thick request; the RTS moves the data, not the net.
+    assert counts["request"] == 1 and counts["data"] == 0 and not edges
+    counts, edges = describe(run_method("multiport"), "multiport")
+    assert counts["request"] == 1
+    assert edges == FIGURE3_EDGES, edges
 
     print("=" * 64)
     print("SIMULATED (performance plane): Figure 4 on the 1997 testbed")
@@ -82,6 +108,7 @@ def main():
     print(format_figure4(figure4()))
     print()
     print("run `python -m repro.bench` for Tables 1-2 and the ablations")
+    print("OK")
 
 
 if __name__ == "__main__":

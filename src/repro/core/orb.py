@@ -26,7 +26,6 @@ from repro.dist.schedule import schedule_cache_stats
 from repro.orb.adapter import ObjectAdapter, Servant, ServantContext
 from repro.orb.naming import NamingService
 from repro.orb.proxy import ClientRuntime
-from repro.orb.transfer import Tracer
 from repro.orb.transport import Fabric
 from repro.rts import backends as rts_backends
 from repro.rts.executor import SpmdExecutor
@@ -55,7 +54,6 @@ class ORB:
         self,
         name: str = "pardis",
         *,
-        tracer: Tracer | None = None,
         timeout: float = 60.0,
         fabric: Any = None,
         naming: Any = None,
@@ -82,7 +80,6 @@ class ORB:
         self.name = name
         self.fabric = fabric if fabric is not None else Fabric(name)
         self.naming = naming if naming is not None else NamingService()
-        self.tracer = tracer
         self.timeout = timeout
         self.ft_policy = ft_policy
         #: Runtime-sanitizer switch (None defers to ``PARDIS_SAN``);
@@ -177,7 +174,6 @@ class ORB:
             host=host,
             multiport=multiport,
             templates=templates,
-            tracer=self.tracer,
             trace=self.trace,
             rts_style=rts_style,
             dispatch_workers=dispatch_workers,
@@ -246,7 +242,6 @@ class ORB:
             self.fabric,
             self.naming,
             comm,
-            tracer=self.tracer,
             trace=self.trace,
             timeout=self.timeout,
             label=label,

@@ -43,7 +43,6 @@ from repro.orb.request import ReplyMessage, RequestMessage
 from repro.cdr.accounting import copied
 from repro.orb.transfer import (
     ChunkCollector,
-    Tracer,
     assemble_chunks,
     decode_full_body,
     decode_plain_body,
@@ -109,7 +108,6 @@ class ServantContext:
     collector: ChunkCollector
     fabric: Fabric
     templates: dict[tuple[str, str], tuple]
-    tracer: Tracer | None = None
     #: ``repro.trace`` recorder (None = tracing off): the engine opens
     #: rank-tagged server-side spans under the request header's trace
     #: id, correlating them with the client's spans.
@@ -334,10 +332,6 @@ class _ServerEngine:
                 self.cache.record_reply(request.request_id, None)
             return
         port = self.ctx.request_port or self.ctx.data_port
-        if self.ctx.tracer:
-            self.ctx.tracer.emit(
-                "net-reply", request.mode, len(reply.body)
-            )
         if self.reply_sender is not None:
             self.reply_sender.submit(
                 port, request.reply_port, reply.encode_segments()
@@ -460,13 +454,6 @@ class _ServerEngine:
                 steps = transfer_schedule(
                     Layout(((0, length),)), layout
                 )
-                if ctx.tracer and ctx.rank == 0:
-                    for step in steps:
-                        if step.dst_rank != 0:
-                            ctx.tracer.emit(
-                                "rts-scatter", "server", 0, step.dst_rank,
-                                step.nelems,
-                            )
                 ctx.rts.scatter_chunks(
                     np.asarray(values[slot.name])
                     if ctx.rank == 0
@@ -496,8 +483,6 @@ class _ServerEngine:
         # "After the invocation the server's computing threads
         # synchronize and the communicating thread informs the client."
         if ctx.rts is not None:
-            if ctx.tracer:
-                ctx.tracer.emit("sync", "server", "post-invoke")
             ctx.rts.synchronize()
         disp_span.note(outcome=outcome[0]).end()
         reply_span = span_or_null(ctx.trace, "reply", **span_kw)
@@ -533,13 +518,6 @@ class _ServerEngine:
                 steps = transfer_schedule(
                     value.layout, Layout(((0, value.length()),))
                 )
-                if ctx.tracer:
-                    for step in steps:
-                        if step.src_rank != 0:
-                            ctx.tracer.emit(
-                                "rts-gather", "server", step.src_rank, 0,
-                                step.nelems,
-                            )
                 full = ctx.rts.gather_chunks(
                     value.local_data(),
                     steps,
@@ -678,8 +656,6 @@ class _ServerEngine:
             ctx, _call_servant(self.servant, spec, args)
         )
         if ctx.rts is not None:
-            if ctx.tracer:
-                ctx.tracer.emit("sync", "server", "post-invoke")
             ctx.rts.synchronize()
         disp_span.note(outcome=outcome[0]).end()
         reply_span = span_or_null(ctx.trace, "reply", **span_kw)
@@ -774,7 +750,6 @@ class _ServerEngine:
                 request.request_id,
                 slot.name,
                 wire.PHASE_REPLY,
-                ctx.tracer,
                 record=record,
             )
         if self.cache is not None:
@@ -1127,7 +1102,6 @@ class ObjectAdapter:
         host: str = "",
         multiport: bool = True,
         templates: dict[tuple[str, str], Any] | None = None,
-        tracer: Tracer | None = None,
         rts_style: str = "message-passing",
         dispatch_workers: int = 4,
         dispatch_policy: str = "client-fifo",
@@ -1144,7 +1118,6 @@ class ObjectAdapter:
             host=host,
             multiport=multiport,
             templates=templates,
-            tracer=tracer,
             trace=trace,
             rts_style=rts_style,
             dispatch_workers=dispatch_workers,
@@ -1176,7 +1149,6 @@ class ServantGroup:
         host: str = "",
         multiport: bool = True,
         templates: dict[tuple[str, str], Any] | None = None,
-        tracer: Tracer | None = None,
         rts_style: str = "message-passing",
         dispatch_workers: int = 4,
         dispatch_policy: str = "client-fifo",
@@ -1210,7 +1182,6 @@ class ServantGroup:
         self.host = host
         self.nthreads = nthreads
         self.multiport = multiport
-        self.tracer = tracer
         self.trace = trace
         from repro.idl.runtime import template_to_spec
 
@@ -1292,15 +1263,14 @@ class ServantGroup:
         self.naming.bind(self.name, self._ref, host=self.host)
 
     def _rank_main(self, rank_ctx: Any) -> int:
-        comm = rank_ctx.comm if self.nthreads > 1 else rank_ctx.comm
         from repro.orb.proxy import make_rts
 
         ctx = ServantContext(
             rank=rank_ctx.rank,
             size=self.nthreads,
-            comm=comm if self.nthreads > 1 else None,
+            comm=rank_ctx.comm if self.nthreads > 1 else None,
             rts=(
-                make_rts(self.rts_style, comm)
+                make_rts(self.rts_style, rank_ctx.comm)
                 if self.nthreads > 1
                 else None
             ),
@@ -1311,7 +1281,6 @@ class ServantGroup:
             collector=ChunkCollector(self._data_ports[rank_ctx.rank]),
             fabric=self.fabric,
             templates=self._templates,
-            tracer=self.tracer,
             trace=self.trace,
             timeout=self.request_timeout,
         )
@@ -1363,6 +1332,14 @@ class ServantGroup:
                     governor=governor,
                 )
 
+        def execute(message: RequestMessage) -> None:
+            """Run one request inline and release its admission slot."""
+            try:
+                engine.execute(message)
+            finally:
+                if governor is not None:
+                    governor.request_done(message.request_id)
+
         def service_pending(max_requests: int) -> int:
             """Drain already-queued requests mid-computation (§2.1)."""
             processed = 0
@@ -1393,11 +1370,7 @@ class ServantGroup:
                             ctx.comm.recv(source=0, tag=_TAG_HEADER)
                 if message is None:
                     break
-                try:
-                    engine.execute(message)
-                finally:
-                    if governor is not None:
-                        governor.request_done(message.request_id)
+                execute(message)
                 processed += 1
             return processed
 
@@ -1411,11 +1384,7 @@ class ServantGroup:
                 if pool is not None:
                     pool.dispatch(request)
                 else:
-                    try:
-                        engine.execute(request)
-                    finally:
-                        if governor is not None:
-                            governor.request_done(request.request_id)
+                    execute(request)
                 served += 1
         finally:
             if pool is not None:

@@ -47,7 +47,6 @@ from repro.orb.transfer import (
     ChunkCollector,
     MultiPortTransfer,
     ReplyDemux,
-    Tracer,
     TransferEngine,
 )
 from repro.orb.transport import Fabric
@@ -135,7 +134,6 @@ class ClientRuntime:
         naming: Any,
         comm: Intracomm | None = None,
         *,
-        tracer: Tracer | None = None,
         timeout: float = 60.0,
         label: str = "client",
         rts_style: str = "message-passing",
@@ -149,7 +147,6 @@ class ClientRuntime:
         self.fabric = fabric
         self.naming = naming
         self.app_comm = comm
-        self.tracer = tracer
         #: ``repro.trace`` recorder shared across the ORB's runtimes
         #: (None = tracing off; the engines guard every span site on
         #: this being set, keeping the disabled path free).
@@ -244,7 +241,6 @@ class ClientRuntime:
         view.fabric = self.fabric
         view.naming = self.naming
         view.app_comm = None
-        view.tracer = self.tracer
         view.trace = self.trace
         view.timeout = self.timeout
         view.pipeline_depth = self.pipeline_depth

@@ -94,31 +94,6 @@ _NATIVE_LITTLE = sys.byteorder == "little"
 RETURN_SLOT = "__return__"
 
 
-class Tracer:
-    """Collects protocol events for the Figure 2/3 pattern tests.
-
-    Events are tuples ``(event, *detail)``; see the engines for the
-    vocabulary ('rts-gather', 'rts-scatter', 'net-request',
-    'net-reply', 'net-chunk', 'sync').
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.events: list[tuple] = []
-
-    def emit(self, *event: Any) -> None:
-        with self._lock:
-            self.events.append(tuple(event))
-
-    def of_kind(self, kind: str) -> list[tuple]:
-        with self._lock:
-            return [e for e in self.events if e[0] == kind]
-
-    def clear(self) -> None:
-        with self._lock:
-            self.events.clear()
-
-
 def _single_rank_layout(length: int) -> Layout:
     return Layout(((0, length),))
 
@@ -496,7 +471,6 @@ def send_chunks(
     request_id: int,
     param: str,
     phase: int,
-    tracer: Tracer | None = None,
     record: Any = None,
 ) -> None:
     """Ship this rank's outgoing chunks of one parameter.
@@ -528,15 +502,6 @@ def send_chunks(
             global_hi=step.global_hi,
             payload=payload,
         )
-        if tracer is not None:
-            tracer.emit(
-                "net-chunk",
-                phase,
-                param,
-                step.src_rank,
-                step.dst_rank,
-                step.nelems,
-            )
         if record is not None:
             frame = b"".join(
                 bytes(s) for s in chunk.encode_segments()
@@ -1109,7 +1074,6 @@ class CentralizedTransfer(TransferEngine):
         on_degrade: Any = None,
         trace_id: int | None = None,
     ) -> tuple[str, Any]:
-        tracer = runtime.tracer
         req_slots = request_slots(spec)
         if len(args) != len(req_slots):
             raise TypeError(
@@ -1122,8 +1086,6 @@ class CentralizedTransfer(TransferEngine):
         # synchronize, marshal arguments and then the request is sent
         # to the server as one message."
         if rts is not None:
-            if tracer:
-                tracer.emit("sync", "client", "pre-invoke")
             rts.synchronize()
         request_id = runtime.next_request_id()
         ctl = _FtInvocation(
@@ -1166,13 +1128,6 @@ class CentralizedTransfer(TransferEngine):
                 steps = transfer_schedule(
                     seq.layout, _single_rank_layout(seq.length())
                 )
-                if tracer:
-                    for step in steps:
-                        if step.src_rank != 0:
-                            tracer.emit(
-                                "rts-gather", "client", step.src_rank, 0,
-                                step.nelems,
-                            )
                 gathered[slot.name] = rts.gather_chunks(
                     seq.local_data(),
                     steps,
@@ -1209,8 +1164,6 @@ class CentralizedTransfer(TransferEngine):
                 client_nthreads=runtime.size,
                 body=body,
             )
-            if tracer:
-                tracer.emit("net-request", self.mode, spec.name, len(body))
             xfer_span = span_or_null(
                 trace, "transfer", trace_id=trace_id, side="client",
                 rank=runtime.rank, nbytes=len(body),
@@ -1242,7 +1195,7 @@ class CentralizedTransfer(TransferEngine):
         def complete() -> Any:
             try:
                 result = self._complete_ft(
-                    runtime, spec, request_id, args_by_name, tracer,
+                    runtime, spec, request_id, args_by_name,
                     out_templates or {}, ctl, first_failure, send_phase,
                 )
             except BaseException as exc:
@@ -1260,7 +1213,6 @@ class CentralizedTransfer(TransferEngine):
         spec: OperationSpec,
         request_id: int,
         args_by_name: dict[str, Any],
-        tracer: Tracer | None,
         out_templates: dict[str, tuple],
         ctl: _FtInvocation,
         first_failure: Failure | None,
@@ -1291,10 +1243,6 @@ class CentralizedTransfer(TransferEngine):
                         "transport", "COMM_FAILURE", str(exc), rank=0
                     )
                 else:
-                    if tracer:
-                        tracer.emit(
-                            "net-reply", self.mode, len(reply.body)
-                        )
                     status = reply.status
                     error_body = (
                         None
@@ -1314,7 +1262,7 @@ class CentralizedTransfer(TransferEngine):
             if failure is None:
                 ctl.sample_rtt()
                 result = self._deliver_reply(
-                    runtime, spec, reply, header, args_by_name, tracer,
+                    runtime, spec, reply, header, args_by_name,
                     out_templates,
                 )
                 # Retire the id: a duplicated late reply frame must
@@ -1341,7 +1289,6 @@ class CentralizedTransfer(TransferEngine):
         reply: ReplyMessage | None,
         header: tuple[int, bytes | None],
         args_by_name: dict[str, Any],
-        tracer: Tracer | None,
         out_templates: dict[str, tuple],
     ) -> Any:
         rts = runtime.rts
@@ -1382,13 +1329,6 @@ class CentralizedTransfer(TransferEngine):
                 steps = transfer_schedule(
                     _single_rank_layout(length), layout
                 )
-                if tracer and runtime.rank == 0:
-                    for step in steps:
-                        if step.dst_rank != 0:
-                            tracer.emit(
-                                "rts-scatter", "client", 0, step.dst_rank,
-                                step.nelems,
-                            )
                 rts.scatter_chunks(
                     np.asarray(full) if runtime.rank == 0 else None,
                     steps,
@@ -1407,8 +1347,6 @@ class CentralizedTransfer(TransferEngine):
             }
             plain = rts.broadcast(plain, root=0)
             values.update(plain)
-            if tracer:
-                tracer.emit("sync", "client", "post-invoke")
             rts.synchronize()
         return compose(
             [values[s.name] for s in produced_slots(spec)]
@@ -1437,7 +1375,6 @@ class MultiPortTransfer(TransferEngine):
                 f"ports; multi-port transfer is unavailable",
                 category="NO_RESOURCES",
             )
-        tracer = runtime.tracer
         req_slots = request_slots(spec)
         if len(args) != len(req_slots):
             raise TypeError(
@@ -1447,8 +1384,6 @@ class MultiPortTransfer(TransferEngine):
         args_by_name = dict(zip((s.name for s in req_slots), args))
         rts = runtime.rts
         if rts is not None:
-            if tracer:
-                tracer.emit("sync", "client", "pre-invoke")
             rts.synchronize()
         request_id = runtime.next_request_id()
         ctl = _FtInvocation(
@@ -1520,11 +1455,6 @@ class MultiPortTransfer(TransferEngine):
                 rank=runtime.rank,
             )
             if runtime.rank == 0:
-                if tracer:
-                    tracer.emit(
-                        "net-request", self.mode, spec.name,
-                        len(message.body),
-                    )
                 try:
                     runtime.reply_port.send(
                         ref.request_port,
@@ -1561,7 +1491,6 @@ class MultiPortTransfer(TransferEngine):
                         request_id,
                         slot.name,
                         wire.PHASE_REQUEST,
-                        tracer,
                     )
             except TransportError as exc:
                 xfer_span.note(error=str(exc)).end()
@@ -1585,7 +1514,7 @@ class MultiPortTransfer(TransferEngine):
             try:
                 result = self._complete_ft(
                     runtime, ref, spec, args, request_id, args_by_name,
-                    tracer, out_templates or {}, ctl, first_failure,
+                    out_templates or {}, ctl, first_failure,
                     send_phase, on_degrade,
                 )
             except BaseException as exc:
@@ -1608,7 +1537,6 @@ class MultiPortTransfer(TransferEngine):
         args: tuple,
         request_id: int,
         args_by_name: dict[str, Any],
-        tracer: Tracer | None,
         out_templates: dict[str, tuple],
         ctl: _FtInvocation,
         first_failure: Failure | None,
@@ -1648,10 +1576,6 @@ class MultiPortTransfer(TransferEngine):
                         "transport", "COMM_FAILURE", str(exc), rank=0
                     )
                 else:
-                    if tracer:
-                        tracer.emit(
-                            "net-reply", self.mode, len(reply.body)
-                        )
                     # The multi-port reply body holds plain values
                     # only (bulk data travels as chunks); a small
                     # bytes copy makes it voteable to the peer ranks.
@@ -1752,8 +1676,6 @@ class MultiPortTransfer(TransferEngine):
                             runtime,
                         )
                     if rts is not None:
-                        if tracer:
-                            tracer.emit("sync", "client", "post-invoke")
                         rts.synchronize()
                     # Retire the id: late/duplicated frames for it are
                     # dropped on arrival from now on.
@@ -1817,7 +1739,6 @@ class ClientRuntimeLike:
     data_port_addresses: tuple
     collector: ChunkCollector
     demux: ReplyDemux
-    tracer: Tracer | None
     #: ``repro.trace`` recorder (None = tracing off, the default).
     trace: Any = None
     timeout: float

@@ -2,11 +2,15 @@
 isolation contract of every section."""
 
 import copy
+import re
+from pathlib import Path
 
 import pytest
 
 from repro import ORB, FtPolicy, compile_idl
 from repro.groups import ShardedNaming
+from repro.orb.naming import NamingService
+from repro.orb.socketnet import SocketFabric
 
 STATS_IDL = """
 interface counter {
@@ -14,19 +18,25 @@ interface counter {
 };
 """
 
-#: Every section the snapshot contract covers (trace is added when
-#: tracing is on; the parametrization below turns it on for all).
-SECTIONS = [
-    "cdr_copies",
-    "fabric",
-    "ft",
-    "groups",
-    "reply_caches",
-    "rts",
-    "san",
-    "trace",
-    "transfer_schedule_cache",
-]
+OBSERVABILITY_DOC = (
+    Path(__file__).resolve().parents[2] / "docs" / "observability.md"
+)
+
+
+def _documented_sections():
+    """The top-level keys of the ``orb.stats()`` table in the
+    observability guide, so the contract cannot drift from the doc."""
+    text = OBSERVABILITY_DOC.read_text(encoding="utf-8")
+    table = text.split("## The `orb.stats()` snapshot", 1)[1]
+    table = table.split("\n## ", 1)[0]
+    return sorted(re.findall(r"^\| `(\w+)` \|", table, flags=re.M))
+
+
+#: Every section the snapshot contract covers.  ``trace`` appears
+#: when tracing is on (the groups ORB below turns it on); ``server``
+#: only on a ``SocketFabric`` ORB (the second ORB below).
+SECTIONS = _documented_sections()
+SOCKET_ONLY = {"server"}
 
 
 @pytest.fixture(scope="module")
@@ -106,12 +116,39 @@ class TestSnapshotIsolation:
     earlier snapshot, for EVERY section."""
 
     @pytest.fixture(scope="class")
-    def live(self, idl):
+    def groups_orb(self, idl):
         orb, group, runtime = _active_orb(idl)
         yield orb
         runtime.close()
         group.shutdown()
         orb.shutdown()
+
+    @pytest.fixture(scope="class")
+    def socket_orb(self, idl):
+        """A ``SocketFabric`` ORB that has served one invocation."""
+        fabric = SocketFabric("stats-socket")
+        orb = ORB("stats-socket", fabric=fabric, naming=NamingService())
+
+        class CounterServant(idl.counter_skel):
+            def add(self, x):
+                return x
+
+        orb.serve("ctr", lambda ctx: CounterServant(), 1)
+        runtime = orb.client_runtime()
+        assert idl.counter._bind("ctr", runtime).add(1.0) == 1.0
+        yield orb
+        runtime.close()
+        orb.shutdown()
+        fabric.close()
+
+    @pytest.fixture()
+    def live(self, request, section):
+        name = "socket_orb" if section in SOCKET_ONLY else "groups_orb"
+        return request.getfixturevalue(name)
+
+    def test_every_key_is_documented(self, groups_orb, socket_orb):
+        keys = set(groups_orb.stats()) | set(socket_orb.stats())
+        assert sorted(keys) == SECTIONS
 
     @staticmethod
     def _corrupt(node):
